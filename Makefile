@@ -15,7 +15,7 @@ BENCHTIME ?= 2s
 BENCH_JSON ?= BENCH.json
 BENCH_BASELINE ?=
 
-.PHONY: all ci vet lint lint-check build test race bench bench-smoke bench-json bench-gate fuzz-smoke figures docs-check shard-check collector-check proxy-check load-check cluster-check clean
+.PHONY: all ci vet lint lint-check build test race bench bench-smoke bench-json bench-gate fuzz-smoke perfbench-check figures docs-check results-check proxy-check load-check cluster-check clean
 
 all: ci
 
@@ -89,10 +89,19 @@ bench-gate:
 	$(GO) test -run '^$$' -bench '$(GATE_PATTERN)' -benchtime $(GATE_BENCHTIME) ./internal/core/ ./internal/proxy/ \
 		| $(GO) run ./cmd/benchjson -compare $(GATE_BASELINE) -max-regress $(GATE_REGRESS) -match '$(GATE_PATTERN)'
 
-## fuzz-smoke: a short fuzz of the trace parser targets.
+## fuzz-smoke: a short fuzz of the trace parser targets and of the
+## results plane's record decoder (journal, merge and push lines).
 fuzz-smoke:
 	$(GO) test ./internal/trace/ -fuzz FuzzParseMalformed -fuzztime 10s
 	$(GO) test ./internal/trace/ -fuzz FuzzReadAll -fuzztime 10s
+	$(GO) test ./internal/experiments/ -run '^$$' -fuzz FuzzJournalLoad -fuzztime 10s
+
+## perfbench-check: vet and self-test the benchmark. perfbench/ is its
+## own module, so the root `./...` never compiles it; this catches an
+## internal API change that breaks it. Same env as perfbench/run.sh.
+perfbench-check:
+	cd perfbench && GOTOOLCHAIN=local GOFLAGS=-mod=readonly GOPROXY=off $(GO) vet ./... \
+		&& GOTOOLCHAIN=local GOFLAGS=-mod=readonly GOPROXY=off $(GO) test ./...
 
 ## figures: regenerate every table/figure CSV at small scale.
 figures:
@@ -102,27 +111,13 @@ figures:
 docs-check:
 	bash scripts/check-md-links.sh
 
-## shard-check: end-to-end sharded sweep — run 2 shards with journals,
-## merge, and diff against the single-process output (OPERATIONS.md §7).
-SHARD_KEYS ?= figure5,refined-e
-shard-check:
-	rm -rf shard-check
-	$(GO) run ./cmd/figures -out shard-check/sharded -only '$(SHARD_KEYS)' -shard 0/2 -journal shard-check/sharded/j0.jsonl
-	$(GO) run ./cmd/figures -out shard-check/sharded -only '$(SHARD_KEYS)' -shard 1/2 -journal shard-check/sharded/j1.jsonl
-	$(GO) run ./cmd/figures -out shard-check/sharded -merge -jsonl
-	$(GO) run ./cmd/figures -out shard-check/single -only '$(SHARD_KEYS)' -jsonl
-	@for f in shard-check/single/*.csv shard-check/single/*.jsonl; do \
-		diff "$$f" "shard-check/sharded/$$(basename $$f)" || exit 1; \
-	done
-	@echo "shard-check: merged shard output is byte-identical to the single-process run"
-	rm -rf shard-check
-
-## collector-check: streaming-collector smoke — boot collectd, run the
-## sweep as 2 concurrent shards pushing rows and metrics at it, and
-## diff the collected CSVs against the single-process run
-## byte-for-byte (OPERATIONS.md §12).
-collector-check:
-	bash scripts/collector-check.sh
+## results-check: the results plane end to end — 2 journaled shards
+## push to collectd and write per-shard JSONL; `figures -merge` of the
+## shard files and collectd's CSVs must each be byte-identical to the
+## single-process run, and -merge must refuse a shard whose tail was
+## cut (OPERATIONS.md §4, §12).
+results-check:
+	bash scripts/results-check.sh
 
 ## proxy-check: live-tier smoke — start a sharded proxyd, run loadgen
 ## against it, assert a nonzero prefix-hit ratio and a clean SIGTERM
@@ -145,4 +140,4 @@ cluster-check:
 	bash scripts/cluster-check.sh
 
 clean:
-	rm -rf results shard-check
+	rm -rf results

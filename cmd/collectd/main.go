@@ -22,6 +22,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"time"
 
 	"streamcache/internal/collect"
 )
@@ -51,7 +52,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("collectd: listening on %s, writing to %s\n", ln.Addr(), *out)
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 

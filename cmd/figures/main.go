@@ -20,15 +20,18 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -278,11 +281,11 @@ func run() error {
 			return fmt.Errorf("%s: %w", e.Key, err)
 		}
 		fmt.Printf("%-20s %-45s %5d rows  %v\n", e.Key, file, rows, time.Since(start).Round(time.Millisecond))
-		fmt.Fprintf(&index, "%s: %s (%d rows) - %s\n", e.Key, file, rows, name)
+		index.WriteString(indexEntry(e.Key, file, rows, name))
 	}
 	indexName := "INDEX.txt"
 	if s.Shard.Count > 1 {
-		indexName = fmt.Sprintf("INDEX.shard%d-of-%d.txt", s.Shard.Index, s.Shard.Count)
+		indexName = shardIndexName(s.Shard.Index, s.Shard.Count)
 	}
 	return os.WriteFile(filepath.Join(*out, indexName), []byte(index.String()), 0o644)
 }
@@ -456,9 +459,47 @@ func streamExperiment(e experiments.Experiment, s experiments.Scale, j *experime
 // shardFilePattern matches per-shard outputs: <stem>.shard<i>-of-<n>.jsonl.
 var shardFilePattern = regexp.MustCompile(`^(.+)\.shard(\d+)-of-(\d+)\.jsonl$`)
 
-// mergeShardOutputs scans dir for per-shard JSONL groups, validates each
-// group is complete, and merges every group into its canonical CSV
-// (and, with jsonl, JSONL) file — byte-identical to an unsharded run.
+// indexEntry is the INDEX line recording one output file and its row
+// count. A sharded run writes its INDEX.shard<i>-of-<n>.txt only after
+// every experiment finished, which makes the entry -merge's proof that
+// the shard's output file is complete.
+func indexEntry(key, file string, rows int, name string) string {
+	return fmt.Sprintf("%s: %s (%d rows) - %s\n", key, file, rows, name)
+}
+
+var indexEntryPattern = regexp.MustCompile(`(?m)^[^:#]+: (\S+) \((\d+) rows\) - `)
+
+// shardIndexName names the INDEX file of one shard of a sharded run.
+func shardIndexName(idx, count int) string {
+	return fmt.Sprintf("INDEX.shard%d-of-%d.txt", idx, count)
+}
+
+// finishedRows reads the row count a finished shard recorded for file
+// in its INDEX.shard<i>-of-<n>.txt.
+func finishedRows(dir string, idx, count int, file string) (int, error) {
+	index := shardIndexName(idx, count)
+	b, err := os.ReadFile(filepath.Join(dir, index))
+	if errors.Is(err, fs.ErrNotExist) {
+		return 0, fmt.Errorf("shard %d of %d never finished: %s is missing", idx, count, index)
+	}
+	if err != nil {
+		return 0, err
+	}
+	for _, m := range indexEntryPattern.FindAllStringSubmatch(string(b), -1) {
+		if m[1] == file {
+			return strconv.Atoi(m[2])
+		}
+	}
+	return 0, fmt.Errorf("shard %d of %d did not finish %s: %s has no entry for it", idx, count, file, index)
+}
+
+// mergeShardOutputs scans dir for per-shard JSONL groups and merges
+// every group into its canonical CSV (and, with jsonl, JSONL) file —
+// byte-identical to an unsharded run. Each group's files are loaded
+// into one in-memory journal, so the duplicate rule, the gap check and
+// the writer are the journal's; a group counts as complete only when
+// every shard recorded in its INDEX that it finished, with exactly the
+// rows its file holds.
 func mergeShardOutputs(dir string, jsonl bool) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -502,58 +543,77 @@ func mergeShardOutputs(dir string, jsonl bool) error {
 	sort.Strings(stems)
 	for _, stem := range stems {
 		g := groups[stem]
-		readers := make([]*os.File, 0, g.count)
-		closeAll := func() {
-			for _, f := range readers {
-				f.Close()
-			}
-		}
+		j := experiments.NewJournal()
 		for idx := 0; idx < g.count; idx++ {
 			name, ok := g.parts[idx]
 			if !ok {
-				closeAll()
 				return fmt.Errorf("merge: %s is missing shard %d of %d", stem, idx, g.count)
 			}
-			f, err := os.Open(filepath.Join(dir, name))
-			if err != nil {
-				closeAll()
-				return err
+			if err := loadShard(j, dir, name, idx, g.count); err != nil {
+				return fmt.Errorf("merge: %s: %w", stem, err)
 			}
-			readers = append(readers, f)
 		}
-
-		if err := writeMerged(dir, stem, readers, jsonl); err != nil {
-			closeAll()
+		tables := j.Tables()
+		if len(tables) != 1 {
+			return fmt.Errorf("merge: %s: shard files describe %d tables, want 1", stem, len(tables))
+		}
+		if err := writeCanonical(j, tables[0].Name, filepath.Join(dir, stem), jsonl); err != nil {
 			return fmt.Errorf("merge: %s: %w", stem, err)
 		}
-		closeAll()
 		fmt.Printf("merged %-45s %d shards -> %s.csv\n", stem, g.count, stem)
 	}
 	return nil
 }
 
-// writeMerged merges one group of open shard files into canonical
-// outputs under dir.
-func writeMerged(dir, stem string, parts []*os.File, jsonl bool) error {
-	csvFile, err := os.Create(filepath.Join(dir, stem+".csv"))
+// loadShard folds one finished shard's output file into j, checking
+// that it contributed exactly the rows its INDEX entry records.
+func loadShard(j *experiments.Journal, dir, name string, idx, count int) error {
+	want, err := finishedRows(dir, idx, count, name)
+	if err != nil {
+		return err
+	}
+	f, err := os.Open(filepath.Join(dir, name))
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	before := heldRows(j)
+	if _, err := j.Load(f); err != nil {
+		return fmt.Errorf("%s: %w", name, err)
+	}
+	if got := heldRows(j) - before; got != want {
+		return fmt.Errorf("%s adds %d rows, but its finished shard recorded %d", name, got, want)
+	}
+	return nil
+}
+
+// heldRows counts the rows j holds across its tables.
+func heldRows(j *experiments.Journal) int {
+	n := 0
+	for _, t := range j.Tables() {
+		n += t.Rows
+	}
+	return n
+}
+
+// writeCanonical writes the named table of j to <base>.csv and, with
+// jsonl, <base>.jsonl.
+func writeCanonical(j *experiments.Journal, table, base string, jsonl bool) error {
+	csvFile, err := os.Create(base + ".csv")
 	if err != nil {
 		return err
 	}
 	defer csvFile.Close()
 	sink := experiments.MultiSink{experiments.NewCSVSink(csvFile)}
 	if jsonl {
-		jf, err := os.Create(filepath.Join(dir, stem+".jsonl"))
+		jf, err := os.Create(base + ".jsonl")
 		if err != nil {
 			return err
 		}
 		defer jf.Close()
 		sink = append(sink, experiments.NewJSONLSink(jf))
 	}
-	in := make([]io.Reader, len(parts))
-	for i, p := range parts {
-		in[i] = p
-	}
-	if err := experiments.MergeShards(in, sink); err != nil {
+	if err := j.WriteTable(table, sink); err != nil {
 		return err
 	}
 	return csvFile.Close()

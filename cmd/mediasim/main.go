@@ -16,8 +16,8 @@
 //	mediasim -sweep e -sweep-points 0,0.25,0.5,0.75,1 -refine 6 -format jsonl -out e.jsonl
 //
 // Sweeps shard across processes and resume after interruption (see
-// OPERATIONS.md); shard outputs must be JSONL so experiments.MergeShards
-// (or figures -merge) can reassemble them by global row index:
+// OPERATIONS.md); shard outputs must be JSONL so an experiments.Journal
+// loaded with all of them can reassemble them by global row index:
 //
 //	mediasim -sweep e -shard 0/2 -format jsonl -out e.0.jsonl -journal e.0.journal
 //	mediasim -sweep e -shard 0/2 -format jsonl -out e.0.jsonl -journal e.0.journal -resume

@@ -186,7 +186,7 @@ func isMapType(t types.Type) bool {
 //  2. non-commutative accumulation (+= / -= on float or string
 //     lvalues rooted outside the loop; float addition is not
 //     associative, so iteration order changes the sum bit pattern);
-//  3. direct emission into a row sink (Row / IndexedRow / Emit calls).
+//  3. direct emission into a row sink (Row / MetricRow / Emit calls).
 //
 // Integer accumulation and pure lookups are commutative and pass.
 func checkMapRangeBody(pass *Pass, rs *ast.RangeStmt, after []ast.Stmt) {
@@ -283,13 +283,13 @@ func orderSensitiveAccumType(t types.Type) bool {
 }
 
 // rowSinkCallName recognizes emission calls whose order is
-// user-visible: methods named Row/IndexedRow/Emit (the RowSink and
+// user-visible: methods named Row/MetricRow/Emit (the RowSink and
 // engine sink surface) and functions named emit*.
 func rowSinkCallName(pass *Pass, call *ast.CallExpr) string {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
 		switch fun.Sel.Name {
-		case "Row", "IndexedRow", "Emit":
+		case "Row", "MetricRow", "Emit":
 			return fun.Sel.Name
 		}
 	}

@@ -188,9 +188,8 @@ func (rs *rowsinkChecker) checkFunc(fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
-			// sink.Row(...) / sink.IndexedRow(i, ...) with a []string literal arg.
-			if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok &&
-				(sel.Sel.Name == "Row" || sel.Sel.Name == "IndexedRow") {
+			// sink.Row(...) with a []string literal arg.
+			if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Row" {
 				for _, arg := range x.Args {
 					if lit, isLit := ast.Unparen(arg).(*ast.CompositeLit); isLit &&
 						isStringSlice(rs.pass.Info.TypeOf(lit)) {

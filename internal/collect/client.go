@@ -49,8 +49,8 @@ type Client struct {
 	MaxBacklog int
 
 	mu     sync.Mutex
-	log    []record
-	pushed int // records confirmed by the collector this session
+	log    [][]byte // encoded record lines, newline-terminated
+	pushed int      // records confirmed by the collector this session
 	shed   int
 	closed bool
 	down   bool
@@ -120,20 +120,20 @@ func (c *Client) hello() error {
 	return nil
 }
 
-// append queues one record for the pusher. Never blocks: a full
-// backlog sheds row/metric records (table declarations always queue —
-// they are tiny and dropping one would orphan every later row).
-func (c *Client) append(rec record) {
+// append queues one encoded record for the pusher. Never blocks: a
+// full backlog sheds row/metric records (table declarations always
+// queue — they are tiny and dropping one would orphan every later row).
+func (c *Client) append(line []byte, isTable bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.down || c.closed {
 		return
 	}
-	if rec.Type != "table" && len(c.log)-c.pushed >= c.MaxBacklog {
+	if !isTable && len(c.log)-c.pushed >= c.MaxBacklog {
 		c.shed++
 		return
 	}
-	c.log = append(c.log, rec)
+	c.log = append(c.log, append(line, '\n'))
 	select {
 	case c.kick <- struct{}{}:
 	default:
@@ -170,8 +170,8 @@ func (c *Client) pusher() {
 			backoff = 50 * time.Millisecond
 		case err == errSeqConflict:
 			// The collector lost our session (restart, missed batch):
-			// re-register and replay the whole log. Dedupe by
-			// (table, index) makes the replay idempotent.
+			// re-register and replay the whole log. The collector's
+			// duplicate rule makes the replay idempotent.
 			if c.hello() == nil {
 				c.mu.Lock()
 				c.pushed = 0
@@ -194,19 +194,13 @@ func (c *Client) pusher() {
 var errSeqConflict = fmt.Errorf("collect: push sequence conflict")
 
 // push ships one batch of records as JSONL at the given sequence.
-func (c *Client) push(seq int, batch []record) error {
-	var body bytes.Buffer
-	enc := json.NewEncoder(&body)
-	for _, rec := range batch {
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
+func (c *Client) push(seq int, batch [][]byte) error {
+	body := bytes.NewReader(bytes.Join(batch, nil))
 	q := url.Values{
 		"shard": {strconv.Itoa(c.shard.Index)},
 		"seq":   {strconv.Itoa(seq)},
 	}
-	resp, err := c.hc.Post(c.base+"/v1/push?"+q.Encode(), "application/jsonl", &body)
+	resp, err := c.hc.Post(c.base+"/v1/push?"+q.Encode(), "application/jsonl", body)
 	if err != nil {
 		return err
 	}
@@ -347,26 +341,29 @@ type Sink struct {
 func (s *Sink) Begin(meta experiments.TableMeta) error {
 	s.table = meta.Name
 	s.next = 0
-	s.c.append(record{Type: "table", Name: meta.Name, Note: meta.Note, Header: meta.Header, File: s.file})
+	line, err := experiments.TableRecord(meta, s.file)
+	if err != nil {
+		return err
+	}
+	s.c.append(line, true)
 	return nil
 }
 
 // Row queues one row under the next locally counted index.
 func (s *Sink) Row(row []string) error {
-	s.c.append(record{Type: "row", Table: s.table, Index: s.next, Row: row})
+	m := experiments.MetricRow{Index: s.next, Row: row}
 	s.next++
-	return nil
+	return s.MetricRow(m)
 }
 
 // MetricRow queues one engine-emitted row under its global index,
 // carrying the full-precision refinement metric for peers to fetch.
 func (s *Sink) MetricRow(m experiments.MetricRow) error {
-	rec := record{Type: "row", Table: s.table, Index: m.Index, Row: m.Row}
-	if m.HasMetric {
-		v := m.Metric
-		rec.Metric = &v
+	line, err := experiments.RowRecord(s.table, m)
+	if err != nil {
+		return err
 	}
-	s.c.append(rec)
+	s.c.append(line, false)
 	return nil
 }
 

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -211,10 +211,14 @@ func TestCollectorDownAtStart(t *testing.T) {
 		}
 	}
 
+	merged := experiments.NewJournal()
+	for _, out := range outs {
+		if _, err := merged.Load(&out); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var got bytes.Buffer
-	if err := experiments.MergeShards(
-		[]io.Reader{bytes.NewReader(outs[0].Bytes()), bytes.NewReader(outs[1].Bytes())},
-		experiments.NewCSVSink(&got)); err != nil {
+	if err := merged.WriteTable(merged.Tables()[0].Name, experiments.NewCSVSink(&got)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -244,8 +248,8 @@ func (c *crashSink) Row([]string) error {
 // TestShardDiesMidPushAndResumes: a shard killed mid-sweep (after some
 // rows were already pushed) restarts, re-registers, and replays; the
 // collector ends with every row exactly once and the CSVs stay
-// byte-identical. The push-session reset plus (table, index) dedupe is
-// what makes the whole-log replay safe.
+// byte-identical. The push-session reset plus the journal's duplicate
+// rule is what makes the whole-log replay safe.
 func TestShardDiesMidPushAndResumes(t *testing.T) {
 	srv := NewServer(2)
 	ts := httptest.NewServer(srv.Handler())
@@ -274,7 +278,7 @@ func TestShardDiesMidPushAndResumes(t *testing.T) {
 	// Shard 0 restarts with -resume: journal replay re-emits the
 	// completed prefix through the sinks (repopulating the push log
 	// from index zero), the fresh hello resets the push session, and
-	// the dedupe absorbs the overlap.
+	// the duplicate rule absorbs the overlap.
 	if _, err := runShard(t, ts.URL, experiments.Shard{Index: 0, Count: 2}, j0, true, wait, nil); err != nil {
 		t.Fatalf("resumed shard 0: %v", err)
 	}
@@ -373,4 +377,51 @@ func TestMetricLongPoll(t *testing.T) {
 	}
 	owner.Close()
 	peer.Close()
+}
+
+// TestPushRefusesConflictingDuplicates: the collector shares the
+// journal's duplicate rule — a replayed identical record is accepted,
+// a row that contradicts a held one is refused with 409, and a
+// malformed record with 400.
+func TestPushRefusesConflictingDuplicates(t *testing.T) {
+	srv := NewServer(1)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/jsonl", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post("/v1/hello?shard=0&count=1&fingerprint=fp", ""); code != http.StatusOK {
+		t.Fatalf("hello: %d", code)
+	}
+	batch := `{"type":"table","name":"T","header":["v"],"file":"out_T"}` + "\n" +
+		`{"type":"row","table":"T","index":0,"row":["a"],"metric":1.5}`
+	if code := post("/v1/push?shard=0&seq=0", batch); code != http.StatusOK {
+		t.Fatalf("first push: %d", code)
+	}
+	if code := post("/v1/push?shard=0&seq=0", batch); code != http.StatusOK {
+		t.Errorf("identical replay: %d, want 200", code)
+	}
+	conflict := `{"type":"row","table":"T","index":0,"row":["b"]}`
+	if code := post("/v1/push?shard=0&seq=2", conflict); code != http.StatusConflict {
+		t.Errorf("conflicting row: %d, want 409", code)
+	}
+	if code := post("/v1/push?shard=0&seq=2", "not json"); code != http.StatusBadRequest {
+		t.Errorf("corrupt record: %d, want 400", code)
+	}
+	if code := post("/v1/done?shard=0", ""); code != http.StatusOK {
+		t.Fatalf("done: %d", code)
+	}
+	out := t.TempDir()
+	if err := srv.WriteTables(out); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := string(collectedCSV(t, out, "T")), "# T\nv\na\n"; got != want {
+		t.Errorf("collected CSV = %q, want %q (the conflicting row must not replace the first)", got, want)
+	}
 }

@@ -6,9 +6,11 @@
 //
 //   - Rows. Every engine-emitted row (global index, payload, optional
 //     refinement metric) is appended to the shard's local record log and
-//     pushed in the background; the collector dedupes by (table, index)
-//     and writes the canonical CSV files once every shard reports done —
-//     byte-identical to a single-process run.
+//     pushed in the background; the collector folds them into an
+//     in-memory experiments.Journal — the same decoder and duplicate
+//     rule as journal resume and figures -merge — and writes the
+//     canonical CSV files once every shard reports done, byte-identical
+//     to a single-process run.
 //
 //   - Metrics. A shard refining adaptively needs the metrics of points
 //     other shards own. Client.ForeignMetric long-polls the collector,
@@ -18,9 +20,9 @@
 //
 // The transport is JSONL over HTTP with per-shard sequence numbers
 // within a session: a reconnecting shard re-registers via /v1/hello and
-// replays its whole log, which the dedupe makes idempotent — a shard
-// killed mid-push resumes (engine journal replay repopulates its log)
-// with no duplicated and no lost rows. Exactness note: metrics cross
+// replays its whole log, which the duplicate rule makes idempotent — a
+// shard killed mid-push resumes (engine journal replay repopulates its
+// log) with no duplicated and no lost rows. Exactness note: metrics cross
 // the wire as JSON float64 numbers, which Go round-trips bit-exactly
 // (strconv shortest representation), so refinement decisions taken on
 // fetched metrics are identical to local evaluation — the collector is
@@ -29,9 +31,11 @@
 package collect
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -43,34 +47,6 @@ import (
 	"streamcache/internal/experiments"
 )
 
-// record is the wire grammar, one JSON object per line. It extends the
-// JSONL sink/journal line grammar ("table" and "row" records, the
-// latter with the journal's optional full-precision metric) with the
-// journal's metric-only checkpoint and a per-table output file stem.
-type record struct {
-	Type string `json:"type"` // "table" | "row" | "metric"
-
-	// "table" fields.
-	Name   string   `json:"name,omitempty"`
-	Note   string   `json:"note,omitempty"`
-	Header []string `json:"header,omitempty"`
-	File   string   `json:"file,omitempty"` // output stem, e.g. "figure5_constant_bandwidth"
-
-	// "row" and "metric" fields.
-	Table  string   `json:"table,omitempty"`
-	Index  int      `json:"index,omitempty"`
-	Row    []string `json:"row,omitempty"`
-	Metric *float64 `json:"metric,omitempty"`
-}
-
-// tableState is the collector's live copy of one table.
-type tableState struct {
-	name, note, file string
-	header           []string
-	rows             map[int][]string
-	metrics          map[int]float64 // from rows and metric-only records alike
-}
-
 // shardState tracks one shard's push session.
 type shardState struct {
 	accepted int // records accepted this session; the next expected seq
@@ -78,15 +54,16 @@ type shardState struct {
 }
 
 // Server is the collector: an http.Handler accumulating pushed records
-// and answering metric long-polls. All state is in memory; the
-// canonical files are written by WriteTables once every shard is done.
+// in an in-memory experiments.Journal and answering metric long-polls.
+// The canonical files are written by WriteTables once every shard is
+// done.
 type Server struct {
 	mu          sync.Mutex
 	cond        *sync.Cond
 	fingerprint string // stamped by the first hello; later hellos must match
 	expected    int    // shard count; 0 until configured or first hello
 	shards      map[int]*shardState
-	tables      map[string]*tableState
+	results     *experiments.Journal
 	done        chan struct{}
 }
 
@@ -96,7 +73,7 @@ func NewServer(expectedShards int) *Server {
 	s := &Server{
 		expected: expectedShards,
 		shards:   map[int]*shardState{},
-		tables:   map[string]*tableState{},
+		results:  experiments.NewJournal(),
 		done:     make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -169,9 +146,11 @@ func (s *Server) handleHello(w http.ResponseWriter, r *http.Request) {
 
 // handlePush accepts a batch of JSONL records at the shard's next
 // sequence number. Batches at or below the accepted sequence replay
-// records the dedupe already holds (idempotent); a batch beyond it
-// means lost traffic, answered with 409 so the client re-hellos and
-// replays its whole log.
+// records the journal already holds, which its duplicate rule makes
+// idempotent; a batch beyond it means lost traffic, answered with 409
+// so the client re-hellos and replays its whole log. A record that
+// contradicts a held one is refused with 409 too, a malformed one with
+// 400.
 func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	shard, err := intParam(r, "shard")
 	if err != nil {
@@ -183,23 +162,13 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var recs []record
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var rec record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			http.Error(w, fmt.Sprintf("corrupt record: %v", err), http.StatusBadRequest)
-			return
-		}
-		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
+	}
+	if len(body) > 0 && body[len(body)-1] != '\n' {
+		body = append(body, '\n') // the last record of a push is complete
 	}
 
 	s.mu.Lock()
@@ -213,62 +182,20 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("sequence gap: got %d, accepted %d", seq, ss.accepted), http.StatusConflict)
 		return
 	}
-	for _, rec := range recs {
-		if err := s.apply(rec); err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
+	n, err := s.results.Load(bytes.NewReader(body))
+	if err != nil {
+		code := http.StatusBadRequest
+		if errors.Is(err, experiments.ErrRecordConflict) {
+			code = http.StatusConflict
 		}
+		http.Error(w, err.Error(), code)
+		return
 	}
-	if end := seq + len(recs); end > ss.accepted {
+	if end := seq + n; end > ss.accepted {
 		ss.accepted = end
 	}
 	s.cond.Broadcast()
 	w.WriteHeader(http.StatusOK)
-}
-
-// apply folds one record into the live table set. Callers hold s.mu.
-// Replayed records are recognized by key and skipped, which is what
-// makes whole-log replay after a reconnect safe.
-func (s *Server) apply(rec record) error {
-	switch rec.Type {
-	case "table":
-		t := s.tables[rec.Name]
-		if t == nil {
-			t = &tableState{name: rec.Name, rows: map[int][]string{}, metrics: map[int]float64{}}
-			s.tables[rec.Name] = t
-		}
-		if t.header != nil && !slices.Equal(t.header, rec.Header) {
-			return fmt.Errorf("table %q re-declared with a different header", rec.Name)
-		}
-		t.header, t.note = rec.Header, rec.Note
-		if rec.File != "" {
-			t.file = rec.File
-		}
-		return nil
-	case "row":
-		t := s.tables[rec.Table]
-		if t == nil {
-			return fmt.Errorf("row for undeclared table %q", rec.Table)
-		}
-		if _, ok := t.rows[rec.Index]; !ok {
-			t.rows[rec.Index] = rec.Row
-			if rec.Metric != nil {
-				t.metrics[rec.Index] = *rec.Metric
-			}
-		}
-		return nil
-	case "metric":
-		t := s.tables[rec.Table]
-		if t == nil {
-			return fmt.Errorf("metric for undeclared table %q", rec.Table)
-		}
-		if _, ok := t.metrics[rec.Index]; !ok {
-			t.metrics[rec.Index] = *rec.Metric
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown record type %q", rec.Type)
-	}
 }
 
 // handleDone marks a shard finished; when the last expected shard
@@ -340,10 +267,8 @@ func (s *Server) waitMetric(table string, index int, wait time.Duration) (float6
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if t := s.tables[table]; t != nil {
-			if m, ok := t.metrics[index]; ok {
-				return m, true
-			}
+		if m, ok := s.results.Metric(table, index); ok {
+			return m, true
 		}
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
@@ -355,126 +280,61 @@ func (s *Server) waitMetric(table string, index int, wait time.Duration) (float6
 	}
 }
 
-// statusTable is one table's live summary in /v1/status.
-type statusTable struct {
-	Name string `json:"name"`
-	File string `json:"file,omitempty"`
-	Rows int    `json:"rows"`
-	Gaps int    `json:"gaps"` // indexes missing below the highest seen
-}
-
 // handleStatus reports shard sessions and per-table progress.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
 	type shardStatus struct {
 		Shard    int  `json:"shard"`
 		Accepted int  `json:"accepted"`
 		Done     bool `json:"done"`
 	}
 	var out struct {
-		Expected int           `json:"expected_shards"`
-		Shards   []shardStatus `json:"shards"`
-		Tables   []statusTable `json:"tables"`
+		Expected int                         `json:"expected_shards"`
+		Shards   []shardStatus               `json:"shards"`
+		Tables   []experiments.TableProgress `json:"tables"`
 	}
+	s.mu.Lock()
 	out.Expected = s.expected
 	for i, ss := range s.shards {
 		out.Shards = append(out.Shards, shardStatus{Shard: i, Accepted: ss.accepted, Done: ss.done})
 	}
-	for _, t := range s.tables {
-		st := statusTable{Name: t.name, File: t.file, Rows: len(t.rows)}
-		max := -1
-		for i := range t.rows {
-			if i > max {
-				max = i
-			}
-		}
-		st.Gaps = max + 1 - len(t.rows)
-		out.Tables = append(out.Tables, st)
-	}
 	s.mu.Unlock()
 	slices.SortFunc(out.Shards, func(a, b shardStatus) int { return a.Shard - b.Shard })
-	slices.SortFunc(out.Tables, func(a, b statusTable) int {
-		if a.Name < b.Name {
-			return -1
-		}
-		if a.Name > b.Name {
-			return 1
-		}
-		return 0
-	})
+	out.Tables = s.results.Tables()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)
 }
 
 // WriteTables renders every collected table to dir as its canonical CSV
 // — the same preamble, header, and index-ordered rows a single-process
-// sweep streams, so the bytes are identical. A table with index gaps
-// (a shard shed rows or never finished) is refused, not silently
-// truncated: the caller falls back to the per-shard-journal merge.
+// sweep streams, so the bytes are identical. A table with index gaps is
+// refused, not silently truncated: the caller falls back to merging the
+// per-shard outputs.
 func (s *Server) WriteTables(dir string) error {
 	s.mu.Lock()
 	ready := s.expected > 0 && len(s.shards) == s.expected
 	for _, ss := range s.shards {
 		ready = ready && ss.done
 	}
+	s.mu.Unlock()
 	if !ready {
 		// A shard that shed rows never reports done (its Close errors),
 		// and its missing tail is a contiguous prefix cut — invisible to
-		// the per-table gap check below — so done-ness is the gate.
-		s.mu.Unlock()
+		// the journal's gap check — so done-ness is the gate.
 		return fmt.Errorf("collect: not every shard has reported done; refusing to write partial tables")
 	}
-	names := make([]string, 0, len(s.tables))
-	for name := range s.tables {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	s.mu.Unlock()
-
-	for _, name := range names {
-		s.mu.Lock()
-		t := s.tables[name]
-		idxs := make([]int, 0, len(t.rows))
-		for i := range t.rows {
-			idxs = append(idxs, i)
+	for _, t := range s.results.Tables() {
+		if t.File == "" {
+			return fmt.Errorf("collect: table %q was declared without an output file stem", t.Name)
 		}
-		slices.Sort(idxs)
-		for want, got := range idxs {
-			if got != want {
-				s.mu.Unlock()
-				return fmt.Errorf("collect: table %q is missing row %d (holds %d rows): incomplete push, merge the shard journals instead",
-					name, want, len(idxs))
-			}
-		}
-		rows := make([][]string, len(idxs))
-		for i, idx := range idxs {
-			rows[i] = t.rows[idx]
-		}
-		meta := experiments.TableMeta{Name: t.name, Note: t.note, Header: t.header}
-		file := t.file
-		s.mu.Unlock()
-
-		if file == "" {
-			return fmt.Errorf("collect: table %q was declared without an output file stem", name)
-		}
-		f, err := os.Create(filepath.Join(dir, file+".csv"))
+		path := filepath.Join(dir, t.File+".csv")
+		f, err := os.Create(path)
 		if err != nil {
 			return err
 		}
-		sink := experiments.NewCSVSink(f)
-		if err := sink.Begin(meta); err != nil {
+		if err := s.results.WriteTable(t.Name, experiments.NewCSVSink(f)); err != nil {
 			f.Close()
-			return err
-		}
-		for _, row := range rows {
-			if err := sink.Row(row); err != nil {
-				f.Close()
-				return err
-			}
-		}
-		if err := sink.End(); err != nil {
-			f.Close()
-			return err
+			os.Remove(path)
+			return fmt.Errorf("collect: %w", err)
 		}
 		if err := f.Close(); err != nil {
 			return err

@@ -37,7 +37,7 @@ func TestJournalCompactResumeByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := j.CompletedRows(j.soleTableName(t))
+			before := j.soleTable(t).Rows
 			if err := j.Compact(); err != nil {
 				t.Fatal(err)
 			}
@@ -87,19 +87,15 @@ func TestJournalCompactResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// soleTableName returns the name of the journal's only table (test
-// helper; the compaction tests journal exactly one experiment).
-func (j *Journal) soleTableName(t *testing.T) string {
+// soleTable summarizes the journal's only table (test helper; the
+// compaction tests journal exactly one experiment).
+func (j *Journal) soleTable(t *testing.T) TableProgress {
 	t.Helper()
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if len(j.tables) != 1 {
-		t.Fatalf("journal holds %d tables, want 1", len(j.tables))
+	tables := j.Tables()
+	if len(tables) != 1 {
+		t.Fatalf("journal holds %d tables, want 1", len(tables))
 	}
-	for name := range j.tables {
-		return name
-	}
-	return ""
+	return tables[0]
 }
 
 // TestJournalCompactCrashMidCompaction: a kill during compaction leaves
@@ -194,14 +190,14 @@ func TestJournalCompactMetricRecords(t *testing.T) {
 	}
 	// Index 2's owner later emits the real row: the metric-only record
 	// is now superseded.
-	if err := j.record("probe", emitted{index: 2, row: []string{"a"}, metric: 9.5, hasMetric: true}); err != nil {
+	if err := j.record("probe", MetricRow{Index: 2, Row: []string{"a"}, Metric: 9.5, HasMetric: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	// Appends after compaction land in the compacted file.
-	if err := j.record("probe", emitted{index: 7, row: []string{"b"}}); err != nil {
+	if err := j.record("probe", MetricRow{Index: 7, Row: []string{"b"}}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -219,13 +215,13 @@ func TestJournalCompactMetricRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if m, ok := r.replayMetric("probe", 5); !ok || m != 1.25 {
-		t.Errorf("replayMetric(5) = %v,%v, want 1.25,true", m, ok)
+	if m, ok := r.Metric("probe", 5); !ok || m != 1.25 {
+		t.Errorf("Metric(5) = %v,%v, want 1.25,true", m, ok)
 	}
-	if m, ok := r.replayMetric("probe", 2); !ok || m != 9.5 {
-		t.Errorf("replayMetric(2) = %v,%v, want 9.5,true", m, ok)
+	if m, ok := r.Metric("probe", 2); !ok || m != 9.5 {
+		t.Errorf("Metric(2) = %v,%v, want 9.5,true", m, ok)
 	}
-	if row, ok := r.replay("probe", 7); !ok || row.row[0] != "b" {
+	if row, ok := r.replay("probe", 7); !ok || row.Row[0] != "b" {
 		t.Errorf("replay(7) = %v,%v, want the post-compaction append", row, ok)
 	}
 }

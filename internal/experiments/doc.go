@@ -16,8 +16,9 @@
 //     (par.ForOrdered) sequences out-of-order worker completions;
 //   - every Scale.Shard.Count: rows carry stable global indices (their
 //     position in the unsharded stream), shards own indices round-robin
-//     (index mod Count), and MergeShards reassembles the exact
-//     unsharded byte stream from per-shard JSONL outputs;
+//     (index mod Count), and a Journal loaded with the per-shard JSONL
+//     outputs (Journal.Load) writes back the exact unsharded byte
+//     stream (Journal.WriteTable);
 //   - resumed runs: a Journal checkpoints completed rows under the key
 //     (table name, global index), and a run restarted with Scale.Resume
 //     replays them — including the full-precision refinement metrics

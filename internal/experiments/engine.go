@@ -25,18 +25,6 @@ import (
 // rowTask computes one row of a table.
 type rowTask func() ([]string, error)
 
-// emitted is one row leaving a runner: the payload plus its global
-// index — the row's position in the unsharded deterministic stream,
-// the stable key of the sharding and journaling subsystems — and, for
-// adaptive sweeps, the refinement metric journaled so a resumed
-// refinement ranks intervals on exactly the values a fresh run sees.
-type emitted struct {
-	index     int
-	row       []string
-	metric    float64
-	hasMetric bool
-}
-
 // exec is the execution context of one streamed run: the worker bound,
 // the shard of the row space this process owns, the resume journal
 // whose completed rows are replayed instead of recomputed, the metric
@@ -54,14 +42,8 @@ type exec struct {
 
 // replay looks up a completed row for the global index in the resume
 // journal (nil-safe: no journal, no replays).
-func (x exec) replay(index int) (journalRow, bool) {
+func (x exec) replay(index int) (MetricRow, bool) {
 	return x.resume.replay(x.table, index)
-}
-
-// replayMetric looks up a checkpointed metric (row or metric record)
-// for the global index in the resume journal.
-func (x exec) replayMetric(index int) (float64, bool) {
-	return x.resume.replayMetric(x.table, index)
 }
 
 // evaluated counts one locally simulated sweep point.
@@ -77,7 +59,7 @@ func (x exec) evaluated() {
 // from the exchange is checkpointed so a crash-resume does not depend
 // on the collector still being reachable.
 func (x exec) foreignMetric(index int) (float64, bool) {
-	if m, ok := x.replayMetric(index); ok {
+	if m, ok := x.resume.Metric(x.table, index); ok {
 		return m, true
 	}
 	if x.exchange == nil {
@@ -102,7 +84,7 @@ func (x exec) foreignMetric(index int) (float64, bool) {
 // deterministic order.
 type runner interface {
 	tableMeta() TableMeta
-	run(x exec, emit func(e emitted) error) error
+	run(x exec, emit func(m MetricRow) error) error
 }
 
 // parallelism resolves the effective worker bound of the scale.
@@ -158,17 +140,17 @@ func (t *taskSweep) tableMeta() TableMeta { return t.meta }
 // run executes the shard-owned subset of the grid over the worker pool,
 // replaying journaled rows instead of recomputing them, and emits rows
 // in ascending global-index order.
-func (t *taskSweep) run(x exec, emit func(e emitted) error) error {
+func (t *taskSweep) run(x exec, emit func(m MetricRow) error) error {
 	owned := x.shard.indices(len(t.tasks))
-	return streamOrdered(x.parallelism, len(owned), func(j int) (emitted, error) {
+	return streamOrdered(x.parallelism, len(owned), func(j int) (MetricRow, error) {
 		g := owned[j]
 		if r, ok := x.replay(g); ok {
-			return emitted{index: g, row: r.row}, nil
+			return MetricRow{Index: g, Row: r.Row}, nil
 		}
 		x.evaluated()
 		row, err := t.tasks[g]()
-		return emitted{index: g, row: row}, err
-	}, func(_ int, e emitted) error { return emit(e) })
+		return MetricRow{Index: g, Row: row}, err
+	}, func(_ int, m MetricRow) error { return emit(m) })
 }
 
 // staticTable is a runner whose rows were computed eagerly (the
@@ -184,12 +166,12 @@ func (t *staticTable) tableMeta() TableMeta { return t.meta }
 // run emits the shard-owned subset of the precomputed rows. The rows
 // were already materialized by the builder, so sharding a static table
 // splits only its output, not its (cheap) computation.
-func (t *staticTable) run(x exec, emit func(e emitted) error) error {
+func (t *staticTable) run(x exec, emit func(m MetricRow) error) error {
 	for i, row := range t.rows {
 		if !x.shard.owns(i) {
 			continue
 		}
-		if err := emit(emitted{index: i, row: row}); err != nil {
+		if err := emit(MetricRow{Index: i, Row: row}); err != nil {
 			return err
 		}
 	}
@@ -281,7 +263,7 @@ func stream(s Scale, r runner, sink RowSink) error {
 		counters:    s.Counters,
 		journal:     findJournal(sink),
 	}
-	if err := r.run(x, func(e emitted) error { return sinkEmit(sink, e) }); err != nil {
+	if err := r.run(x, func(m MetricRow) error { return sinkEmit(sink, m) }); err != nil {
 		return err
 	}
 	return sink.End()

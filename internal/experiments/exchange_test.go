@@ -157,7 +157,7 @@ func TestShardedRefinementExchangeByteIdentical(t *testing.T) {
 							parts[i] = bytes.NewReader(b)
 						}
 						var gotCSV, gotJSONL bytes.Buffer
-						if err := MergeShards(parts, MultiSink{NewCSVSink(&gotCSV), NewJSONLSink(&gotJSONL)}); err != nil {
+						if err := mergeParts(parts, MultiSink{NewCSVSink(&gotCSV), NewJSONLSink(&gotJSONL)}); err != nil {
 							t.Fatal(err)
 						}
 						if !bytes.Equal(gotCSV.Bytes(), wantCSV.Bytes()) {
@@ -204,7 +204,7 @@ func TestExchangeUnavailableFallsBackLocally(t *testing.T) {
 		parts[i] = bytes.NewReader(b)
 	}
 	var got bytes.Buffer
-	if err := MergeShards(parts, NewJSONLSink(&got)); err != nil {
+	if err := mergeParts(parts, NewJSONLSink(&got)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {

@@ -59,7 +59,8 @@ type Scale struct {
 	// this shard owns (index mod Shard.Count == Shard.Index), so N
 	// independent processes split one sweep. The union of the shards'
 	// rows is bit-identical to the unsharded stream for any Count,
-	// mirroring the Parallelism guarantee; MergeShards reassembles it.
+	// mirroring the Parallelism guarantee; a Journal loaded with every
+	// shard's output reassembles it.
 	// The zero value means unsharded.
 	Shard Shard
 	// Resume replays rows recorded in a prior (interrupted) run's

@@ -53,7 +53,7 @@ func countJournalRows(t *testing.T, path string) int {
 	n := 0
 	for sc.Scan() {
 		line := sc.Text()
-		var rec journalRowRecord
+		var rec rowRecord
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("corrupt journal line %q: %v", line, err)
 		}
@@ -109,8 +109,8 @@ func TestJournalResumeAfterTruncation(t *testing.T) {
 				t.Fatal(err)
 			}
 			completed := 0
-			for name := range j.tables {
-				completed += j.CompletedRows(name)
+			for _, tbl := range j.Tables() {
+				completed += tbl.Rows
 			}
 			j.Close()
 			if completed == 0 || completed >= total {
@@ -180,7 +180,7 @@ func TestResumeSkipsCompletedTasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	journaled := j.CompletedRows("resume probe")
+	journaled := j.Tables()[0].Rows
 	if journaled == 0 || journaled >= n {
 		t.Fatalf("journal holds %d rows, want a strict prefix of %d", journaled, n)
 	}
@@ -284,11 +284,125 @@ func TestJournalAndShardCompose(t *testing.T) {
 		in[i] = f
 	}
 	var got bytes.Buffer
-	if err := MergeShards(in, NewCSVSink(&got)); err != nil {
+	if err := mergeParts(in, NewCSVSink(&got)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Errorf("merged resumed-shard journals differ from the unsharded stream:\n%s\nwant:\n%s",
 			got.String(), want.String())
 	}
+}
+
+// TestJournalRefusesConflictingDuplicates pins the duplicate rule on
+// the resume and append paths: a journal holding two different
+// payloads for one row is refused on resume, a sweep emitting a
+// different payload for a journaled row fails, and identical replays
+// stay no-ops.
+func TestJournalRefusesConflictingDuplicates(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	head := `{"type":"journal","fingerprint":"fp"}` + "\n" +
+		`{"type":"table","name":"T","header":["x"]}` + "\n" +
+		`{"type":"row","table":"T","index":0,"row":["a"]}` + "\n"
+	if err := os.WriteFile(path, []byte(head+`{"type":"row","table":"T","index":0,"row":["b"]}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeJournal(path, "fp"); !errors.Is(err, ErrRecordConflict) {
+		t.Fatalf("resume of a conflicting journal returned %v, want ErrRecordConflict", err)
+	}
+
+	if err := os.WriteFile(path, []byte(head+`{"type":"row","table":"T","index":0,"row":["a"]}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := ResumeJournal(path, "fp")
+	if err != nil {
+		t.Fatalf("resume of an identical replay failed: %v", err)
+	}
+	defer j.Close()
+	sink := NewJournalSink(j)
+	if err := sink.Begin(TableMeta{Name: "T", Header: []string{"x"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.MetricRow(MetricRow{Index: 0, Row: []string{"a"}}); err != nil {
+		t.Errorf("identical replay of a journaled row failed: %v", err)
+	}
+	if err := sink.MetricRow(MetricRow{Index: 0, Row: []string{"c"}}); !errors.Is(err, ErrRecordConflict) {
+		t.Errorf("conflicting row returned %v, want ErrRecordConflict", err)
+	}
+	if err := sink.Begin(TableMeta{Name: "T", Header: []string{"y"}}); !errors.Is(err, ErrRecordConflict) {
+		t.Errorf("re-declared header returned %v, want ErrRecordConflict", err)
+	}
+}
+
+// compactBytes renders the journal's live state as Compact writes it.
+func compactBytes(t *testing.T, j *Journal) []byte {
+	t.Helper()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	var b bytes.Buffer
+	if err := j.writeCompact(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// FuzzJournalLoad drives the single record decoder with journal lines,
+// merge inputs and collector push bodies, corrupt, truncated and
+// conflicting ones included. It must never panic, and any input it
+// accepts must survive a Compact round trip: the compacted state
+// replays onto itself as a no-op and reloads into an identical state.
+func FuzzJournalLoad(f *testing.F) {
+	for _, seed := range []string{
+		// A journal with a refined row and a metric checkpoint.
+		`{"type":"journal","fingerprint":"scale=small seed=1"}` + "\n" +
+			`{"type":"table","name":"T","note":"n","header":["x","source"]}` + "\n" +
+			`{"type":"row","table":"T","index":0,"row":["1","coarse"],"metric":0.1234567890123456}` + "\n" +
+			`{"type":"metric","table":"T","index":1,"metric":-0}` + "\n",
+		// A shard's JSONL output, as figures -merge reads it.
+		`{"type":"table","name":"T","header":["x"]}` + "\n" +
+			`{"type":"row","table":"T","index":1,"row":["a"]}` + "\n" +
+			`{"type":"row","table":"T","index":3,"row":["b"]}` + "\n",
+		// A collector push body: file stem, identical replay.
+		`{"type":"table","name":"T","header":["v"],"file":"out_T"}` + "\n" +
+			`{"type":"row","table":"T","index":0,"row":["x"],"metric":2}` + "\n" +
+			`{"type":"row","table":"T","index":0,"row":["x"],"metric":2}` + "\n",
+		// Conflicts: payload, metric, header.
+		`{"type":"table","name":"T","header":["x"]}` + "\n" +
+			`{"type":"row","table":"T","index":0,"row":["a"]}` + "\n" +
+			`{"type":"row","table":"T","index":0,"row":["b"]}` + "\n",
+		`{"type":"table","name":"T","header":["x"]}` + "\n" +
+			`{"type":"metric","table":"T","index":0,"metric":1}` + "\n" +
+			`{"type":"row","table":"T","index":0,"row":["a"],"metric":2}` + "\n",
+		`{"type":"table","name":"T","header":["x"]}` + "\n" +
+			`{"type":"table","name":"T","header":["y"]}` + "\n",
+		// Corrupt and truncated lines.
+		`{"type":"row","table":"T","index":0,"row":["a"]}` + "\n",
+		`{"type":"table","name":"T","header":["x"]}` + "\n" + `{"type":"row","table":"T","ind`,
+		"not json\n\n{}\n",
+		`{"type":"row","table":"T","index":-4,"row":null}` + "\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		j := NewJournal()
+		if _, err := j.Load(bytes.NewReader(data)); err != nil {
+			return
+		}
+		once := compactBytes(t, j)
+		if _, err := j.Load(bytes.NewReader(once)); err != nil {
+			t.Fatalf("replaying the compacted state onto itself failed: %v\n%s", err, once)
+		}
+		if again := compactBytes(t, j); !bytes.Equal(again, once) {
+			t.Fatalf("replaying the compacted state changed it:\n%s\nwant:\n%s", again, once)
+		}
+		k := NewJournal()
+		if _, err := k.Load(bytes.NewReader(once)); err != nil {
+			t.Fatalf("compacted state does not reload: %v\n%s", err, once)
+		}
+		if twice := compactBytes(t, k); !bytes.Equal(twice, once) {
+			t.Fatalf("reloaded state differs:\n%s\nwant:\n%s", twice, once)
+		}
+		for _, tbl := range k.Tables() {
+			_ = k.WriteTable(tbl.Name, &TableSink{})
+		}
+	})
 }

@@ -79,7 +79,7 @@ type axisPoint struct {
 // N-fold duplicate compute. Fail-fast semantics match streamTasks.
 func evalRound(x exec, n, base int,
 	point func(i, innerParallelism int) (row []string, metric float64, err error),
-	source string, emit func(e emitted) error) ([]float64, error) {
+	source string, emit func(m MetricRow) error) ([]float64, error) {
 
 	type eval struct {
 		row    []string
@@ -114,8 +114,8 @@ func evalRound(x exec, n, base int,
 		if owned {
 			// Journaled rows carry the rendered payload (source cell
 			// included) and the exact metric; nothing to recompute.
-			if r, ok := x.replay(g); ok && r.hasMetric {
-				return eval{row: r.row, metric: r.metric, owned: true}, nil
+			if r, ok := x.replay(g); ok && r.HasMetric {
+				return eval{row: r.Row, metric: r.Metric, owned: true}, nil
 			}
 		} else if m, ok := x.foreignMetric(g); ok {
 			return eval{metric: m}, nil
@@ -128,8 +128,7 @@ func evalRound(x exec, n, base int,
 		return eval{row: append(row, source), metric: metric, owned: owned}, nil
 	}, func(i int, v eval) error {
 		if v.owned {
-			e := emitted{index: base + i, row: v.row, metric: v.metric, hasMetric: true}
-			if err := emit(e); err != nil {
+			if err := emit(MetricRow{Index: base + i, Row: v.row, Metric: v.metric, HasMetric: true}); err != nil {
 				return err
 			}
 		}
@@ -145,7 +144,7 @@ func evalRound(x exec, n, base int,
 // evalOrdered evaluates the given axis values through evalRound,
 // pairing each returned metric with its axis position.
 func (a *adaptiveSweep) evalOrdered(x exec, xs []float64, base int, source string,
-	emit func(e emitted) error) ([]axisPoint, error) {
+	emit func(m MetricRow) error) ([]axisPoint, error) {
 
 	metrics, err := evalRound(x, len(xs), base, func(i, inner int) ([]string, float64, error) {
 		return a.point(xs[i], inner)
@@ -160,7 +159,7 @@ func (a *adaptiveSweep) evalOrdered(x exec, xs []float64, base int, source strin
 	return pts, nil
 }
 
-func (a *adaptiveSweep) run(x exec, emit func(e emitted) error) error {
+func (a *adaptiveSweep) run(x exec, emit func(m MetricRow) error) error {
 	// Coarse pass: the full axis, streamed in grid order. Refinement
 	// cannot begin before every coarse row has landed (its decisions are
 	// keyed on the complete coarse response curve).

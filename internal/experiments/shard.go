@@ -13,7 +13,8 @@ import (
 // slow and fast regions, and because assignment is a pure function of
 // the index, the union of the shards' outputs is bit-identical to the
 // unsharded stream for any Shard.Count — the multi-process analogue of
-// the Parallelism guarantee. MergeShards reassembles the union.
+// the Parallelism guarantee. A Journal loaded with every shard's
+// output reassembles the union (Journal.WriteTable).
 
 // Shard identifies one of Count cooperating sweep processes. The zero
 // value (and Count <= 1) means unsharded: this process owns every row.

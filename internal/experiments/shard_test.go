@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -106,7 +107,7 @@ func TestShardUnionByteIdentical(t *testing.T) {
 							parts = append(parts, bytes.NewReader(b))
 						}
 						var gotCSV, gotJSONL bytes.Buffer
-						if err := MergeShards(parts, MultiSink{NewCSVSink(&gotCSV), NewJSONLSink(&gotJSONL)}); err != nil {
+						if err := mergeParts(parts, MultiSink{NewCSVSink(&gotCSV), NewJSONLSink(&gotJSONL)}); err != nil {
 							t.Fatal(err)
 						}
 						if !bytes.Equal(gotCSV.Bytes(), wantCSV.Bytes()) {
@@ -123,48 +124,81 @@ func TestShardUnionByteIdentical(t *testing.T) {
 	}
 }
 
-// TestMergeShardsValidation exercises the merge's gap, duplicate and
-// mismatch detection.
-func TestMergeShardsValidation(t *testing.T) {
+// mergeParts reassembles per-shard JSONL outputs (or journals) the way
+// figures -merge does: load them all into one in-memory journal, then
+// write its only table into sink.
+func mergeParts(parts []io.Reader, sink RowSink) error {
+	j := NewJournal()
+	for _, p := range parts {
+		if _, err := j.Load(p); err != nil {
+			return err
+		}
+	}
+	tables := j.Tables()
+	if len(tables) != 1 {
+		return fmt.Errorf("merge inputs describe %d tables, want 1", len(tables))
+	}
+	return j.WriteTable(tables[0].Name, sink)
+}
+
+// TestJournalRecordValidation exercises the shared decoder's duplicate
+// rule and the writer's gap check on merge-shaped inputs: identical
+// replays are no-ops, while conflicting rows, re-declared headers,
+// gaps, rows before their table, and corrupt lines are refused.
+func TestJournalRecordValidation(t *testing.T) {
 	table := `{"type":"table","name":"T","header":["x"]}` + "\n"
-	row := func(i int) string {
-		return fmt.Sprintf(`{"type":"row","table":"T","index":%d,"row":["%d"]}`+"\n", i, i)
+	row := func(i int, v string) string {
+		return fmt.Sprintf(`{"type":"row","table":"T","index":%d,"row":["%s"]}`+"\n", i, v)
 	}
 	merge := func(parts ...string) error {
 		in := make([]io.Reader, len(parts))
 		for i, p := range parts {
 			in[i] = strings.NewReader(p)
 		}
-		return MergeShards(in, &TableSink{})
+		return mergeParts(in, &TableSink{})
 	}
 
-	if err := merge(table+row(0)+row(2), table+row(1)); err != nil {
+	if err := merge(table+row(0, "0")+row(2, "2"), table+row(1, "1")); err != nil {
 		t.Errorf("complete merge rejected: %v", err)
 	}
 	if err := merge(); err == nil {
 		t.Error("zero parts accepted")
 	}
-	if err := merge(table + row(0) + row(0)); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Errorf("duplicate index not caught: %v", err)
+	if err := merge(table+row(0, "0")+row(0, "0"), table+row(0, "0")); err != nil {
+		t.Errorf("identical replay rejected: %v", err)
 	}
-	if err := merge(table+row(0), table+row(0)); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Errorf("cross-shard duplicate not caught: %v", err)
+	if err := merge(table + row(0, "0") + row(0, "x")); !errors.Is(err, ErrRecordConflict) {
+		t.Errorf("conflicting duplicate index not caught: %v", err)
 	}
-	if err := merge(table + row(0) + row(2)); err == nil || !strings.Contains(err.Error(), "gap") {
+	if err := merge(table+row(0, "0"), table+row(0, "x")); !errors.Is(err, ErrRecordConflict) {
+		t.Errorf("cross-shard conflicting duplicate not caught: %v", err)
+	}
+	if err := merge(table + row(0, "0") + row(2, "2")); err == nil || !strings.Contains(err.Error(), "gap") {
 		t.Errorf("gap not caught: %v", err)
+	}
+	if err := merge(table, `{"type":"table","name":"T","header":["y"]}`+"\n"); !errors.Is(err, ErrRecordConflict) {
+		t.Errorf("header mismatch not caught: %v", err)
 	}
 	if err := merge(table, `{"type":"table","name":"U","header":["x"]}`+"\n"); err == nil {
 		t.Error("table mismatch not caught")
 	}
-	if err := merge(row(0)); err == nil {
+	if err := merge(row(0, "0")); err == nil {
 		t.Error("row before table record accepted")
 	}
-	if err := merge(table + "not json\n"); err == nil {
-		t.Error("corrupt line accepted")
+	for _, bad := range []string{
+		"not json\n",
+		`{"type":"row","table":"T","index":-1,"row":["x"]}` + "\n",
+		`{"type":"metric","table":"T","index":1}` + "\n",
+		`{"type":"bogus"}` + "\n",
+	} {
+		if err := merge(table + bad); err == nil {
+			t.Errorf("malformed line %q accepted", bad)
+		}
 	}
 	// Journal fingerprint stamps are tolerated (journals are merge inputs
-	// too).
-	if err := merge(`{"type":"journal","fingerprint":"f"}` + "\n" + table + row(0)); err != nil {
-		t.Errorf("journal stamp rejected: %v", err)
+	// too, each stamped with its own shard's fingerprint).
+	if err := merge(`{"type":"journal","fingerprint":"f"}`+"\n"+table+row(0, "0"),
+		`{"type":"journal","fingerprint":"g"}`+"\n"+table); err != nil {
+		t.Errorf("journal stamps rejected: %v", err)
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -37,26 +36,15 @@ type RowSink interface {
 	End() error
 }
 
-// IndexedSink is an optional RowSink extension: sinks that implement it
-// receive each row together with its global index — the row's position
-// in the unsharded deterministic stream, which is the stable key of the
-// sharding and journaling subsystems. The engine calls IndexedRow
-// instead of Row when a sink implements it; in an unsharded run the
-// indices are the contiguous sequence 0, 1, 2, ..., while a sharded run
-// delivers only the shard-owned subset (with gaps MergeShards later
-// closes).
-type IndexedSink interface {
-	RowSink
-	IndexedRow(index int, row []string) error
-}
-
-// MetricRow is the full engine-side view of one emitted row: the global
-// index and payload of IndexedSink plus the refinement metric of
-// adaptive-sweep rows (HasMetric false for fixed-grid rows). It is the
-// unit the streaming results plane (internal/collect) ships between
-// shards: the metric must survive transport at full float64 precision
-// so a foreign shard's refinement decisions are bit-identical to local
-// evaluation.
+// MetricRow is the engine-side view of one emitted row: its global
+// index — the row's position in the unsharded deterministic stream,
+// the stable key of the sharding and journaling subsystems — its
+// payload, and the refinement metric of adaptive-sweep rows (HasMetric
+// false for fixed-grid rows). In an unsharded run the indices are the
+// contiguous sequence 0, 1, 2, ...; a sharded run delivers only the
+// shard-owned subset. The metric must survive transport at full
+// float64 precision so a foreign shard's refinement decisions are
+// bit-identical to local evaluation.
 type MetricRow struct {
 	Index     int
 	Row       []string
@@ -64,34 +52,21 @@ type MetricRow struct {
 	HasMetric bool
 }
 
-// MetricSink is the richest exported RowSink extension: sinks that
-// implement it receive each engine-emitted row with its global index
-// and refinement metric. The engine prefers MetricRow over IndexedRow
-// over Row.
+// MetricSink is the indexed RowSink extension: sinks that implement it
+// receive each engine-emitted row with its global index and refinement
+// metric through MetricRow instead of Row.
 type MetricSink interface {
 	RowSink
 	MetricRow(m MetricRow) error
 }
 
-// engineSink is the in-package superset of MetricSink: the journal
-// additionally records the refinement metric of adaptive-sweep rows.
-type engineSink interface {
-	emitRow(e emitted) error
-}
-
-// sinkEmit delivers one engine-emitted row to a sink through the richest
-// interface it implements.
-func sinkEmit(sink RowSink, e emitted) error {
-	switch t := sink.(type) {
-	case engineSink:
-		return t.emitRow(e)
-	case MetricSink:
-		return t.MetricRow(MetricRow{Index: e.index, Row: e.row, Metric: e.metric, HasMetric: e.hasMetric})
-	case IndexedSink:
-		return t.IndexedRow(e.index, e.row)
-	default:
-		return sink.Row(e.row)
+// sinkEmit delivers one engine-emitted row to a sink through the
+// richest interface it implements.
+func sinkEmit(sink RowSink, m MetricRow) error {
+	if ms, ok := sink.(MetricSink); ok {
+		return ms.MetricRow(m)
 	}
+	return sink.Row(m.Row)
 }
 
 // TableSink buffers a streamed experiment into an in-memory Table — the
@@ -162,7 +137,7 @@ func (c *CSVSink) Rows() int { return c.rows }
 // name/note/header, then one "row" record per row. Field order is fixed
 // by the record structs, so the byte stream is deterministic for a
 // deterministic row stream. Engine-streamed rows carry their global
-// index (see IndexedSink), which makes per-shard JSONL files the merge
+// index (see MetricRow), which makes per-shard JSONL files the merge
 // units of sharded sweeps; rows pushed via plain Row are numbered by a
 // local counter.
 type JSONLSink struct {
@@ -176,22 +151,7 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 	return &JSONLSink{w: bufio.NewWriter(w)}
 }
 
-type jsonlTableRecord struct {
-	Type   string   `json:"type"`
-	Name   string   `json:"name"`
-	Note   string   `json:"note,omitempty"`
-	Header []string `json:"header"`
-}
-
-type jsonlRowRecord struct {
-	Type  string   `json:"type"`
-	Table string   `json:"table"`
-	Index int      `json:"index"`
-	Row   []string `json:"row"`
-}
-
-func (j *JSONLSink) writeLine(v any) error {
-	b, err := json.Marshal(v)
+func (j *JSONLSink) writeLine(b []byte, err error) error {
 	if err != nil {
 		return fmt.Errorf("experiments: jsonl sink: %w", err)
 	}
@@ -205,19 +165,20 @@ func (j *JSONLSink) writeLine(v any) error {
 func (j *JSONLSink) Begin(meta TableMeta) error {
 	j.table = meta.Name
 	j.index = 0
-	return j.writeLine(jsonlTableRecord{Type: "table", Name: meta.Name, Note: meta.Note, Header: meta.Header})
+	return j.writeLine(TableRecord(meta, ""))
 }
 
 // Row writes one row record under the next locally counted index.
 func (j *JSONLSink) Row(row []string) error {
-	rec := jsonlRowRecord{Type: "row", Table: j.table, Index: j.index, Row: row}
+	m := MetricRow{Index: j.index, Row: row}
 	j.index++
-	return j.writeLine(rec)
+	return j.writeLine(RowRecord(j.table, m))
 }
 
-// IndexedRow writes one row record under its global index.
-func (j *JSONLSink) IndexedRow(index int, row []string) error {
-	return j.writeLine(jsonlRowRecord{Type: "row", Table: j.table, Index: index, Row: row})
+// MetricRow writes one row record under its global index. The metric
+// stays out of the sink's bytes, which match a single-process run.
+func (j *JSONLSink) MetricRow(m MetricRow) error {
+	return j.writeLine(RowRecord(j.table, MetricRow{Index: m.Index, Row: m.Row}))
 }
 
 // End flushes any buffered output.
@@ -247,12 +208,12 @@ func (m MultiSink) Row(row []string) error {
 	return nil
 }
 
-// emitRow forwards an engine-emitted row to every sink through the
+// MetricRow forwards an engine-emitted row to every sink through the
 // richest interface each implements, so one fan-out can mix plain,
 // indexed and journaling sinks.
-func (m MultiSink) emitRow(e emitted) error {
+func (m MultiSink) MetricRow(row MetricRow) error {
 	for _, s := range m {
-		if err := sinkEmit(s, e); err != nil {
+		if err := sinkEmit(s, row); err != nil {
 			return err
 		}
 	}

@@ -68,7 +68,7 @@ func TestJSONLSinkFormat(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("JSONL lines = %d, want 3", len(lines))
 	}
-	var table jsonlTableRecord
+	var table tableRecord
 	if err := json.Unmarshal(lines[0], &table); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestJSONLSinkFormat(t *testing.T) {
 		t.Errorf("table record = %+v", table)
 	}
 	for i, line := range lines[1:] {
-		var row jsonlRowRecord
+		var row rowRecord
 		if err := json.Unmarshal(line, &row); err != nil {
 			t.Fatal(err)
 		}
